@@ -911,13 +911,16 @@ fn serve_campaign(ctx: &RunCtx, addr: &str) {
 }
 
 /// One NDJSON request/response exchange over a fresh TCP connection.
+///
+/// Per PROTOCOL.md "Framing", the request goes out as one write of the
+/// line plus its `\n` on a socket with `TCP_NODELAY` set.
 fn wire_request(addr: &str, line: &str) -> std::io::Result<String> {
     use std::io::{BufRead, BufReader, Write};
     let stream = std::net::TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
     let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(format!("{line}\n").as_bytes())?;
     writer.flush()?;
     let mut response = String::new();
     let n = BufReader::new(stream).read_line(&mut response)?;

@@ -28,11 +28,13 @@
 //! server.stop();
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use tm_obs::JsonValue;
+
+use crate::protocol::write_frame;
 
 /// Errors a client call can produce.
 #[derive(Debug)]
@@ -84,6 +86,9 @@ impl Client {
     /// Propagates the connect/configure error.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are small one-write frames answered before the next is
+        // sent; Nagle's algorithm would only hold them for the peer's ACK.
+        stream.set_nodelay(true)?;
         // Campaigns at paper scale take a while; reads stay blocking with
         // a generous timeout instead of polling.
         stream.set_read_timeout(Some(Duration::from_secs(600)))?;
@@ -101,9 +106,7 @@ impl Client {
     /// if the response does not parse, and [`ClientError::Server`] if the
     /// server answered with an `error` response.
     pub fn request(&mut self, line: &str) -> Result<JsonValue, ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

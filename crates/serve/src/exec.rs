@@ -97,8 +97,9 @@ fn run_snapshot(spec: &LaunchSpec) -> Result<ResultPayload, WireError> {
     })
 }
 
-/// Revives the snapshot into a device and releases it into the pool,
-/// where the next launch with a matching config acquires it warm.
+/// Revives the snapshot into a device and releases it into the pool in
+/// place of any idle device with the same config, so the next launch with
+/// a matching config acquires the restored state warm.
 fn run_restore(job: &RestoreJob, pool: &Mutex<DevicePool>) -> ResultPayload {
     let compute_units = job.snapshot.config().compute_units as u64;
     let fifo_entries = job.snapshot.fifo_entries();
@@ -106,7 +107,7 @@ fn run_restore(job: &RestoreJob, pool: &Mutex<DevicePool>) -> ResultPayload {
     // anything that reached the worker; a defect here is a defect in the
     // schema validation, and releasing nothing is the safe fallback.
     if let Ok(device) = Device::restore(&job.snapshot) {
-        pool.lock().expect("device pool lock").release(device);
+        pool.lock().expect("device pool lock").supersede(device);
     }
     ResultPayload::Restored { compute_units, fifo_entries }
 }
@@ -191,6 +192,15 @@ mod tests {
         let launch_line =
             r#"{"type":"launch","kernel":"sobel","scale":"test","seed":9,"backend":"sequential"}"#;
 
+        // An older device of the same config (same seed, backend and
+        // error rate), warmed by another kernel, is idle before the restore.
+        let older = parse_request(
+            r#"{"type":"launch","kernel":"gaussian","scale":"test","seed":9,"backend":"sequential"}"#,
+        )
+        .unwrap();
+        execute(&older.request, &pool, &hub, &rec).unwrap();
+        assert_eq!(pool.lock().unwrap().idle_len(), 1);
+
         // Capture a snapshot of the exact device config the launch implies.
         let snap_env = parse_request(
             r#"{"type":"snapshot","kernel":"sobel","scale":"test","seed":9,"backend":"sequential"}"#,
@@ -212,12 +222,26 @@ mod tests {
         let ResultPayload::Restored { fifo_entries, .. } = &out else { panic!("not a restore") };
         assert!(*fifo_entries > 0, "the snapshot must carry memo history");
 
-        // The very first matching launch is now served warm.
+        // The restore superseded the older device.
+        assert_eq!(pool.lock().unwrap().idle_len(), 1);
+
+        // The very first matching launch is now served warm, on the
+        // restored device: its report equals an in-process run on a
+        // device revived from the same snapshot.
         let env = parse_request(launch_line).unwrap();
         let out = execute(&env.request, &pool, &hub, &rec).unwrap();
         let ResultPayload::Launch(r) = &out else { panic!("not a launch") };
         assert!(r.pool_warm, "a restored device must satisfy the first matching launch warm");
         assert!(r.passed);
+        let Request::Restore(job) = &restore_env.request else { unreachable!() };
+        let Request::Launch(spec) = &env.request else { unreachable!() };
+        let mut device = Device::restore(&job.snapshot).unwrap();
+        device.reset_stats();
+        workload::build(spec.kernel, spec.scale, spec.seed).run(&mut device);
+        let expected = device.report();
+        assert_eq!(r.hit_rate.to_bits(), expected.weighted_hit_rate().to_bits());
+        assert_eq!(r.energy_pj.to_bits(), expected.total_energy_pj().to_bits());
+        assert_eq!(r.errors_injected, expected.errors_injected);
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub mod server;
 pub use client::{Client, ClientError};
 pub use exec::ResultPayload;
 pub use protocol::{
-    parse_request, CampaignJob, Envelope, ErrorCode, LaunchSpec, Request, ServerStats, WireError,
-    PROTOCOL_VERSION,
+    parse_request, write_frame, CampaignJob, Envelope, ErrorCode, LaunchSpec, Request, ServerStats,
+    WireError, PROTOCOL_VERSION,
 };
 pub use scheduler::{ClaimedJob, JobId, JobOutcome, Scheduler, Submit, Waiter};
 pub use server::{JobServer, ServerConfig};

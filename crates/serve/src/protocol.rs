@@ -16,6 +16,13 @@
 //! string echoed on the response; `tenant` names the fairness/quota
 //! bucket (defaults to `"anon"`).
 //!
+//! # Framing
+//!
+//! [`write_frame`] sends one message as **one** `write` of the line plus
+//! its `\n`. Split writes (line, then newline) on a socket with Nagle's
+//! algorithm on meet the peer's delayed ACK and stall each message for
+//! tens of milliseconds; both ends of the wire also set `TCP_NODELAY`.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,6 +33,8 @@
 //! assert_eq!(env.tenant, "anon");
 //! assert!(matches!(env.request, Request::Ping));
 //! ```
+
+use std::io::Write;
 
 use tm_bench::CampaignSpec;
 use tm_kernels::{KernelId, Scale, ALL_KERNELS};
@@ -416,6 +425,30 @@ fn envelope_writer(ty: &str, id: &str) -> ObjWriter {
     w
 }
 
+/// Writes `line` as one NDJSON frame: `line` plus `\n`, built in one
+/// buffer and handed to `w` in a single `write_all`, then flushed.
+///
+/// `line` must not itself contain a newline (every `render_*` line and
+/// every `ObjWriter` document satisfies this: JSON escapes `\n`).
+///
+/// # Errors
+/// Propagates the write or flush error.
+///
+/// # Examples
+///
+/// ```
+/// let mut wire = Vec::new();
+/// tm_serve::write_frame(&mut wire, r#"{"v":1,"type":"ping"}"#).unwrap();
+/// assert_eq!(wire, b"{\"v\":1,\"type\":\"ping\"}\n");
+/// ```
+pub fn write_frame<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
+    w.flush()
+}
+
 /// Renders a `pong` response line (no trailing newline).
 #[must_use]
 pub fn render_pong(id: &str) -> String {
@@ -630,5 +663,32 @@ mod tests {
         let v = JsonValue::parse(&line).unwrap();
         assert_eq!(v.get_str("jsonl"), Some(jsonl));
         assert_eq!(v.get_u64("trials"), Some(3));
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_line_and_newline() {
+        for line in [render_pong("1"), render_campaign_result("2", "Sobel", 1, "a\nb\n")] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &line).unwrap();
+            assert_eq!(w.writes.len(), 1, "one message must be one write");
+            assert_eq!(w.writes[0], format!("{line}\n").into_bytes());
+        }
     }
 }

@@ -15,7 +15,9 @@
 //!
 //! Every request increments `serve.*` [`TelemetryHub`] series and every
 //! executed job records a wall span into the server's
-//! [`SharedRecorder`], so a loaded server is traceable end to end.
+//! [`SharedRecorder`], so a loaded server is traceable end to end. The
+//! recorder is bounded; the `serve.trace_spans_dropped` gauge says how
+//! many spans it has discarded since the server started.
 //!
 //! # Examples
 //!
@@ -30,7 +32,7 @@
 //! server.stop();
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -44,8 +46,8 @@ use tm_sim::DevicePool;
 use crate::exec::{execute, ResultPayload};
 use crate::protocol::{
     parse_request, render_campaign_result, render_error, render_launch_result, render_pong,
-    render_restore_result, render_snapshot_result, render_stats_result, ErrorCode, Request,
-    ServerStats,
+    render_restore_result, render_snapshot_result, render_stats_result, write_frame, ErrorCode,
+    Request, ServerStats,
 };
 use crate::scheduler::{JobOutcome, Scheduler, Submit};
 
@@ -241,6 +243,7 @@ fn accept_loop(
 }
 
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut writer = stream.try_clone()?;
@@ -262,10 +265,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<
         if line.trim().is_empty() {
             continue;
         }
-        let response = handle_line(line.trim_end(), shared);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_frame(&mut writer, &handle_line(line.trim_end(), shared))?;
     }
     Ok(())
 }
@@ -400,6 +400,10 @@ fn worker_loop(shared: &Arc<Shared>, worker: u64) {
                 ("ok".to_string(), ArgValue::Bool(result.is_ok())),
             ],
         });
+        // The recorder keeps at most its capacity of spans (launch device
+        // spans included); past that every span, `serve:*` ones too, is
+        // dropped, so the count is published where a scrape sees it.
+        shared.hub.gauge_set("serve.trace_spans_dropped", shared.recorder.dropped() as f64);
         shared.hub.counter_add("serve.jobs_executed", 1);
         shared.hub.observe("serve.job_us", dur as f64);
         let waiters = {

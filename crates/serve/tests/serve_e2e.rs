@@ -173,3 +173,19 @@ fn served_campaign_jsonl_is_byte_identical_to_in_process() {
     );
     server.stop();
 }
+
+#[test]
+fn dropped_trace_spans_are_published_for_prometheus() {
+    let (server, hub) = server(ServerConfig::default());
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    client
+        .request(r#"{"v":1,"type":"launch","id":"l","kernel":"sobel","scale":"test","seed":3}"#)
+        .expect("launch result");
+    let text = hub.snapshot().to_prometheus();
+    let sample = text
+        .lines()
+        .find_map(|l| l.strip_prefix("serve_trace_spans_dropped "))
+        .unwrap_or_else(|| panic!("no serve_trace_spans_dropped sample in:\n{text}"));
+    assert_eq!(sample.parse::<f64>().ok(), Some(server.recorder().dropped() as f64));
+    server.stop();
+}

@@ -58,14 +58,22 @@ pub fn operand_entropy_bits<'a>(events: impl Iterator<Item = &'a TraceEvent>) ->
     if total == 0 {
         return 0.0;
     }
+    let mut counts: Vec<_> = counts.into_iter().collect();
+    counts.sort_unstable_by_key(|&(key, _)| key);
+    entropy_in_key_order(counts.iter().map(|&(_, c)| c), total)
+}
+
+/// Shannon entropy (bits) of a count distribution over `total` events.
+///
+/// Callers pass the counts ordered by their keys: floating-point addition
+/// is not associative, so summing the `-p·log2 p` terms in hash-map order
+/// would change the last bits from one call to the next.
+pub(crate) fn entropy_in_key_order(counts: impl Iterator<Item = u64>, total: u64) -> f64 {
     let n = total as f64;
-    counts
-        .values()
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
+    counts.fold(0.0, |h, c| {
+        let p = c as f64 / n;
+        h - p * p.log2()
+    })
 }
 
 /// LRU stack-distance profile of per-FPU operand streams.

@@ -18,7 +18,7 @@
 //! attributed as a ledger-total delta around each vector instruction.
 
 use crate::config::{ArchMode, DeviceConfig};
-use crate::locality::{LocalitySummary, OperandKey, StackDistanceProfile};
+use crate::locality::{entropy_in_key_order, LocalitySummary, OperandKey, StackDistanceProfile};
 use crate::trace::{TraceBuffer, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 use tm_energy::{EnergyLedger, EnergyModel};
@@ -372,20 +372,18 @@ impl LocalitySink {
             .map(|op| {
                 let profile = &self.profiles[&op];
                 let n = profile.total;
-                let mut entropy = 0.0f64;
-                let mut distinct = 0usize;
-                for (&(o, _), &c) in &self.counts {
-                    if o == op {
-                        distinct += 1;
-                        let p = c as f64 / n as f64;
-                        entropy -= p * p.log2();
-                    }
-                }
+                let mut counts: Vec<(OperandKey, u64)> = self
+                    .counts
+                    .iter()
+                    .filter(|((o, _), _)| *o == op)
+                    .map(|(&(_, key), &c)| (key, c))
+                    .collect();
+                counts.sort_unstable_by_key(|&(key, _)| key);
                 LocalitySummary {
                     op,
                     events: n,
-                    entropy_bits: entropy,
-                    max_entropy_bits: (distinct as f64).log2().max(0.0),
+                    entropy_bits: entropy_in_key_order(counts.iter().map(|&(_, c)| c), n),
+                    max_entropy_bits: (counts.len() as f64).log2().max(0.0),
                     predicted_hit_rates: [
                         profile.hit_rate_at_depth(2),
                         profile.hit_rate_at_depth(4),
@@ -925,6 +923,53 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert!((rows[0].entropy_bits - 1.0).abs() < 1e-9);
         assert_eq!(rows[0].events, 20);
+    }
+
+    #[test]
+    fn entropies_do_not_depend_on_event_order() {
+        // Many distinct operand sets with uneven counts, so the sums have
+        // enough terms for the order of addition to show in the last bits.
+        let mut events: Vec<LaneEvent> = (0..2000u32)
+            .map(|i| issue_event(FpOp::Mul, ((i * i) % 613) as f32, (i % 4) as usize, false))
+            .collect();
+        events.extend(
+            (0..500u32).map(|i| issue_event(FpOp::Add, (i % 97) as f32 * 0.5, 0, false)),
+        );
+        let trace = |events: &[LaneEvent]| -> Vec<TraceEvent> {
+            events
+                .iter()
+                .map(|e| TraceEvent {
+                    op: e.op,
+                    operands: e.operands,
+                    result: e.result,
+                    hit: false,
+                    error: false,
+                    stream_core: e.stream_core,
+                    lane: e.lane,
+                    cycle: 0,
+                })
+                .collect()
+        };
+        let entropies = |events: &[LaneEvent]| -> (u64, Vec<u64>, Vec<u64>) {
+            let mut sink = LocalitySink::new();
+            for e in events {
+                sink.on_lane(e);
+            }
+            let trace = trace(events);
+            let bits = |rows: Vec<LocalitySummary>| -> Vec<u64> {
+                rows.iter().map(|r| r.entropy_bits.to_bits()).collect()
+            };
+            (
+                crate::locality::operand_entropy_bits(trace.iter()).to_bits(),
+                bits(crate::locality::summarize(trace.iter())),
+                bits(sink.summaries()),
+            )
+        };
+        let forward = entropies(&events);
+        events.reverse();
+        assert_eq!(entropies(&events), forward);
+        // The online and offline per-op summaries agree bit for bit too.
+        assert_eq!(forward.1, forward.2);
     }
 
     #[test]

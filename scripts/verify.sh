@@ -157,8 +157,11 @@ diff "$obs_dir/campaign_served.jsonl" "$obs_dir/campaign_inproc.jsonl"
 echo "served and in-process campaign JSONL are byte-identical"
 kill "$serve_pid" 2>/dev/null || true
 serve_pid=""
-# PROTOCOL.md example payloads must parse with the production parser.
-cargo test -q --offline -p tm-serve --test protocol_docs
+# The whole tm-serve suite: PROTOCOL.md example payloads parse with the
+# production parser, the wire e2e tests, one-write framing; plus the
+# device-pool reuse and supersede-on-restore tests.
+cargo test -q --offline -p tm-serve
+cargo test -q --offline -p tm-sim --lib pool
 
 if [[ "${1:-}" != "--quick" ]]; then
     echo "== cargo clippy -D warnings -D clippy::perf (offline, workspace) =="
